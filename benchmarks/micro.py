@@ -320,9 +320,15 @@ def probe_layer_records(quick: bool, repeat: int) -> list[dict]:
     miss_rounds = 1_600 // shrink
     snoop_rounds = 4_000 // shrink
     line = 32
-    #: per-CPU private blocks far apart (never the same set or line)
+    #: per-CPU private blocks far apart (never the same line)
     private_base = [0x10000 + cpu * 0x4000 for cpu in range(n_cpus)]
     hit_lines = 8
+    #: the hit storm's blocks are also skewed by ``hit_lines`` lines per
+    #: CPU so they land in distinct sets even in the pooled shared L1,
+    #: where blocks ``0x4000`` apart alias and evict each other
+    hit_base = [
+        base + cpu * hit_lines * line for cpu, base in enumerate(private_base)
+    ]
 
     def build(arch):
         config = config_for_scale("test", n_cpus)
@@ -337,37 +343,52 @@ def probe_layer_records(quick: bool, repeat: int) -> list[dict]:
         for cpu in range(n_cpus):
             for index in range(hit_lines):
                 at = mem.access(
-                    cpu, load, private_base[cpu] + index * line, at
+                    cpu, load, hit_base[cpu] + index * line, at
                 ).done
         lanes = [mem.fast_lanes(cpu)[1] for cpu in range(n_cpus)]
         count = 0
+        declines = 0
         for _ in range(hit_rounds):
             for cpu in range(n_cpus):
                 lane = lanes[cpu]
-                base = private_base[cpu]
+                base = hit_base[cpu]
                 for index in range(hit_lines):
                     done = lane(base + index * line, at)
                     if done < 0:  # lane declined: take the general path
+                        declines += 1
                         done = mem.access(
                             cpu, load, base + index * line, at
                         ).done
                     at = done
                     count += 1
+        if declines:
+            raise RuntimeError(
+                f"probe_hit_storm on {arch}: {declines} of {count} "
+                "accesses missed the fast lane after warm-up"
+            )
         return count
 
     def miss_storm():
         mem = build(arch)
         load = AccessKind.LOAD
         config = mem.config
-        # Stride over 4x the L1 capacity: every revisit misses again.
-        walk_lines = 4 * (config.l1d_size // line)
+        # Each CPU walks its own block over 4x the largest L1 (the
+        # pooled shared L1 holds n_cpus x l1d_size): every access and
+        # every revisit misses.
+        walk_lines = 4 * n_cpus * (config.l1d_size // line)
         at = 0
         count = 0
-        for _ in range(miss_rounds):
+        for round_ in range(miss_rounds):
+            offset = (round_ % walk_lines) * line
             for cpu in range(n_cpus):
-                addr = private_base[cpu] + (count % walk_lines) * line
-                at = mem.access(cpu, load, addr, at).done
+                at = mem.access(cpu, load, private_base[cpu] + offset, at).done
                 count += 1
+        misses = mem.stats.aggregate_caches(".l1d").misses
+        if misses != count:
+            raise RuntimeError(
+                f"probe_miss_storm on {arch}: {count - misses} of {count} "
+                "accesses hit the L1"
+            )
         return count
 
     def snoop_storm():
