@@ -45,7 +45,8 @@ from repro.sim.stats import CacheStats, CycleBreakdown, MxsStats
 SNAPSHOT_FORMAT = "repro.ckpt/1"
 
 #: Memory-system attributes that are not simulation state: ``config``
-#: is immutable input, ``stats`` restores through ``SystemStats``,
+#: and ``topology`` are immutable input (``name`` comes from the
+#: topology), ``stats`` restores through ``SystemStats``,
 #: ``obs`` restores through the observation block, the snoop
 #: controller holds only references to caches serialized elsewhere,
 #: and the ``_lane_*`` lists are per-CPU fast-path closures over the
@@ -57,6 +58,7 @@ _SKIP_MEMORY_ATTRS = frozenset(
         "stats",
         "obs",
         "snoop",
+        "name",
         "topology",
         "_lane_ifetch",
         "_lane_load",
@@ -131,12 +133,13 @@ def _decode_inst(data: list) -> Instruction:
 
 
 def _is_cache_stats(value) -> bool:
+    """A CacheStats, or a non-empty (nested) list of them."""
     if isinstance(value, CacheStats):
         return True
     return (
         isinstance(value, list)
         and bool(value)
-        and all(isinstance(item, CacheStats) for item in value)
+        and all(_is_cache_stats(item) for item in value)
     )
 
 

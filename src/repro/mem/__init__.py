@@ -4,21 +4,21 @@ The package provides the building blocks (cache arrays, banked
 resources, buses, crossbars, main memory, coherence engines, the timed
 functional memory used for synchronization), the :class:`Topology`
 spec language plus its preset/builder registries
-(:mod:`repro.mem.topology`), and one complete memory system per
-registered topology kind:
+(:mod:`repro.mem.topology`), and one memory system per level at which
+the CPUs meet, each built from the resolved spec:
 
 * :class:`~repro.mem.shared_l1.SharedL1System` — CPUs share a banked
-  write-back L1 data cache through a crossbar (paper Section 2.2);
+  write-back L1 data cache through a crossbar (paper Section 2.2; the
+  ``shared-primary`` kind), or through a multi-stage crossbar in the
+  MemPool-style ``cluster-l1`` preset (``clustered-primary``);
 * :class:`~repro.mem.shared_l2.SharedL2System` — private write-through
-  L1s over a shared, banked write-back L2 with directory invalidation
-  (Section 2.3);
+  levels over one shared, banked write-back level with directory
+  invalidation: the private L1s over a shared L2 of Section 2.3
+  (``shared-secondary``), or private L1+L2 per CPU over a shared L3 in
+  the 3D-stacked ``shared-l3`` preset (``shared-tertiary``);
 * :class:`~repro.mem.shared_mem.SharedMemorySystem` — private L1+L2 per
   CPU kept coherent by a snoopy MESI bus with cache-to-cache transfers
-  (Section 2.4);
-* :class:`~repro.mem.cluster.ClusterSharedL1System` — a MemPool-style
-  many-core cluster pooling its L1 behind a multi-stage crossbar;
-* :class:`~repro.mem.shared_l3.SharedL3System` — private L1+L2 per CPU
-  over a shared, banked L3 (3D-stacked design point).
+  (Section 2.4; ``shared-memory``).
 
 The paper's three architectures are the ``shared-l1`` / ``shared-l2``
 / ``shared-mem`` presets; ``repro list`` enumerates all of them (see
@@ -45,8 +45,6 @@ from repro.mem.topology import (
 from repro.mem.shared_l1 import SharedL1System
 from repro.mem.shared_l2 import SharedL2System
 from repro.mem.shared_mem import SharedMemorySystem
-from repro.mem.cluster import ClusterSharedL1System
-from repro.mem.shared_l3 import SharedL3System
 
 __all__ = [
     "AccessKind",
@@ -71,6 +69,4 @@ __all__ = [
     "SharedL1System",
     "SharedL2System",
     "SharedMemorySystem",
-    "ClusterSharedL1System",
-    "SharedL3System",
 ]

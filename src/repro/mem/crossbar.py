@@ -38,6 +38,10 @@ class Crossbar:
         "obs",
     )
 
+    #: a single stage has no intermediate switch columns (see
+    #: :attr:`MultistageCrossbar.switches`)
+    switches = ()
+
     def __init__(
         self,
         name: str,
@@ -371,3 +375,35 @@ class MultistageCrossbar:
     @property
     def requests(self) -> int:
         return self.banks.requests
+
+
+def make_crossbar(
+    name: str, level, interconnect, line_size: int, n_ports: int
+) -> "Crossbar | MultistageCrossbar":
+    """The interconnect in front of a shared cache ``level``.
+
+    ``level`` and ``interconnect`` are the topology spec's
+    :class:`~repro.mem.topology.CacheLevel` and
+    :class:`~repro.mem.topology.Interconnect`. A ``multistage``
+    interconnect becomes a :class:`MultistageCrossbar` timed by its
+    stage list; any other kind is a single-stage :class:`Crossbar` at
+    the level's latency and occupancy. Either way the level's banks
+    are the crossbar's banks.
+    """
+    if interconnect.kind == "multistage":
+        return MultistageCrossbar(
+            name,
+            level.banks,
+            line_size,
+            stage_latencies=interconnect.stage_latencies,
+            occupancy=interconnect.occupancy,
+            n_ports=n_ports,
+        )
+    return Crossbar(
+        name,
+        level.banks,
+        line_size,
+        latency=level.latency,
+        occupancy=level.occupancy,
+        n_ports=n_ports,
+    )

@@ -9,7 +9,6 @@ topology presets draw from; the scale presets in
 from __future__ import annotations
 
 import dataclasses
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigError
@@ -172,13 +171,21 @@ class MemConfig:
         )
 
 
-class MemorySystem(ABC):
+class MemorySystem:
     """Interface between the CPU models and a memory architecture.
 
     One call per dynamic memory operation or I-cache-line fetch:
     :meth:`access` applies all state changes (fills, evictions,
     coherence actions) and returns when the access completes and which
     level serviced it. The CPU attributes stall time from the result.
+
+    A concrete system supplies its request paths (``_ifetch``,
+    ``_load``, ``_store``) and its per-CPU fast-lane builders
+    (``_make_load_lane``, ``_make_store_lane``; the I-fetch lane over
+    the private ``l1i`` arrays is shared), then calls
+    :meth:`_build_lanes` at the end of its constructor. Wrappers that
+    build no lanes (the trace recorder) override :meth:`access` and
+    the ``fast_*`` methods instead.
     """
 
     #: short name used in reports (the topology preset name)
@@ -191,6 +198,13 @@ class MemorySystem(ABC):
     #: order and must see the unbatched stream.
     batchable: bool = True
 
+    #: per-CPU fast-lane closures, set by :meth:`_build_lanes`; ``None``
+    #: (a wrapper) declines every lane call
+    _lane_ifetch = _lane_load = _lane_store = None
+
+    #: per-CPU write buffers whose drains :meth:`drain` waits out
+    _write_buffers = ()
+
     def __init__(self, config: MemConfig, stats: SystemStats) -> None:
         self.config = config
         self.stats = stats
@@ -198,36 +212,65 @@ class MemorySystem(ABC):
         #: (the default — no hook anywhere fires without it)
         self.obs = None
 
-    @abstractmethod
     def access(
         self, cpu: int, kind: AccessKind, addr: int, at: int
     ) -> AccessResult:
         """Perform one access for ``cpu`` starting at cycle ``at``."""
+        if kind == AccessKind.IFETCH:
+            return self._ifetch(cpu, addr, at)
+        if kind == AccessKind.LOAD:
+            return self._load(cpu, addr, at)
+        return self._store(cpu, addr, at, posted=kind == AccessKind.STORE)
 
     # ------------------------------------------------------------------
     # L1 hit fast lane
     #
     # The common case by far is an L1 hit: probe the tag dict, refresh
-    # LRU, bump a counter, done one cycle later. The fast methods
-    # resolve exactly that case and return the completion cycle as a
-    # plain int; they return -1 (no state changed) whenever anything
-    # beyond the single-probe hit is involved — a miss, an upgrade, a
+    # LRU, bump a counter, done one cycle later. The lanes resolve
+    # exactly that case and return the completion cycle as a plain
+    # int; they return -1 (no state changed) whenever anything beyond
+    # the single-probe hit is involved — a miss, an upgrade, a
     # coherence action — and the CPU falls back to :meth:`access`.
     # Implementations must be behaviorally invisible: with the lane
     # disabled (``config.l1_fast_path = False``) every statistic and
-    # cycle count must come out identical. The defaults below decline
-    # every access, so a wrapper that overrides nothing still sees the
-    # full stream through access() — at the cost of silently disabling
-    # the lane; wrappers that care about speed (the trace recorder)
-    # forward the fast methods and record the hits they resolve.
+    # cycle count must come out identical. Lanes are per-CPU closures
+    # specialized when they are built, with the probe constants
+    # captured as cell variables. A wrapper without lanes declines
+    # every access, so it still sees the full stream through access()
+    # — at the cost of silently disabling the lane; wrappers that care
+    # about speed (the trace recorder) forward the fast methods and
+    # record the hits they resolve.
+
+    def _build_lanes(self) -> None:
+        cpus = range(self.config.n_cpus)
+        self._lane_ifetch = [self._make_ifetch_lane(c) for c in cpus]
+        self._lane_load = [self._make_load_lane(c) for c in cpus]
+        self._lane_store = [self._make_store_lane(c) for c in cpus]
+
+    def _make_ifetch_lane(self, cpu: int):
+        """Private single-cycle I-cache hit (every topology keeps the
+        L1I private per CPU)."""
+        probe = self.l1i[cpu].make_probe()
+        shift = self._line_shift
+
+        def fast_ifetch(addr: int, at: int) -> int:
+            if probe(addr >> shift) < 0:
+                return -1
+            return at + 1
+
+        return fast_ifetch
 
     def fast_load(self, cpu: int, addr: int, at: int) -> int:
         """L1 hit fast path for a data load; -1 means take ``access``."""
-        return -1
+        if self._lane_load is None:
+            return -1
+        return self._lane_load[cpu](addr, at)
 
     def fast_ifetch(self, cpu: int, addr: int, at: int) -> int:
         """L1 hit fast path for an I-fetch; -1 means take ``access``."""
-        return -1
+        if self._lane_ifetch is None:
+            return -1
+        return self._lane_ifetch[cpu](addr, at)
 
     def fast_store(self, cpu: int, addr: int, at: int) -> int:
         """L1 hit fast path for a *posted, value-less* store.
@@ -236,7 +279,9 @@ class MemorySystem(ABC):
         int return carries the CPU-release cycle but not the visibility
         time a value publish would need); -1 means take ``access``.
         """
-        return -1
+        if self._lane_store is None:
+            return -1
+        return self._lane_store[cpu](addr, at)
 
     def fast_lanes(self, cpu):
         """Per-CPU fast-lane closures ``(ifetch, load, store)``.
@@ -244,11 +289,15 @@ class MemorySystem(ABC):
         Each closure takes ``(addr, at)`` and returns the completion
         cycle or -1 (same contract as the ``fast_*`` methods). The CPU
         models bind these once at construction so the per-access cost
-        is one call with the probe constants captured as cell
-        variables. The default adapts the ``fast_*`` methods, so a
-        wrapper that only overrides those still works; systems with a
-        real lane build specialized closures instead.
+        is one call. A wrapper without lanes gets adapters over its
+        ``fast_*`` methods.
         """
+        if self._lane_load is not None:
+            return (
+                self._lane_ifetch[cpu],
+                self._lane_load[cpu],
+                self._lane_store[cpu],
+            )
         fast_ifetch = self.fast_ifetch
         fast_load = self.fast_load
         fast_store = self.fast_store
@@ -264,7 +313,12 @@ class MemorySystem(ABC):
 
     def drain(self, at: int) -> int:
         """Cycle by which all posted work (write buffers) completes."""
-        return at
+        latest = at
+        for buffer in self._write_buffers:
+            t = buffer.drain_time(at)
+            if t > latest:
+                latest = t
+        return latest
 
     def resource_report(self, cycles: int) -> dict[str, float]:
         """Utilization (busy fraction of ``cycles``) per shared resource.

@@ -21,7 +21,7 @@ from repro.mem.bus import SnoopyBus
 from repro.mem.cache import EXCLUSIVE, MODIFIED, SHARED, CacheArray
 from repro.mem.coherence.mesi import SnoopController
 from repro.mem.hierarchy import MemConfig, MemorySystem, count_miss
-from repro.mem.types import AccessKind, AccessResult, StallLevel
+from repro.mem.types import AccessResult, StallLevel
 from repro.mem.writebuffer import WriteBuffer
 from repro.sim.stats import SystemStats
 
@@ -55,7 +55,7 @@ class SharedMemorySystem(MemorySystem):
         self.snoop = SnoopController(
             self.l1d, self.l2, self._l1d_stats, self._l2_stats
         )
-        self._store_buffers = [
+        self._write_buffers = [
             WriteBuffer(config.write_buffer_depth) for _ in range(n_cpus)
         ]
         self._line_shift = self.l1d[0].line_shift
@@ -82,20 +82,11 @@ class SharedMemorySystem(MemorySystem):
                     lambda p=port: p.busy_cycles,
                 )
             )
-        for index, buffer in enumerate(self._store_buffers):
+        for index, buffer in enumerate(self._write_buffers):
             probes.append(
                 ("gauge", f"cpu{index}.wb", lambda b=buffer: b.occupancy)
             )
         return probes
-
-    def drain(self, at: int) -> int:
-        """Completion time of everything still in the store buffers."""
-        latest = at
-        for buffer in self._store_buffers:
-            t = buffer.drain_time(at)
-            if t > latest:
-                latest = t
-        return latest
 
     def resource_report(self, cycles: int) -> dict[str, float]:
         """Busy fractions of the system bus and the private L2 ports."""
@@ -105,41 +96,12 @@ class SharedMemorySystem(MemorySystem):
         return report
 
     # ------------------------------------------------------------------
-
-    def access(
-        self, cpu: int, kind: AccessKind, addr: int, at: int
-    ) -> AccessResult:
-        """Dispatch one access through the bus-based request paths."""
-        if kind == AccessKind.IFETCH:
-            return self._ifetch(cpu, addr, at)
-        if kind == AccessKind.LOAD:
-            return self._load(cpu, addr, at)
-        return self._store(cpu, addr, at, posted=kind == AccessKind.STORE)
-
-    # ------------------------------------------------------------------
     # L1 hit fast lane: private single-cycle L1s, so a hit is a packed
     # tag probe + LRU stamp (+ the read counter on the data side).
     # Loads never change MESI state on a hit, so the lane is
     # state-blind; a miss returns -1 with nothing touched. The lanes
     # are per-CPU closures with the probe constants captured as cell
     # variables (see MemorySystem.fast_lanes).
-
-    def _build_lanes(self) -> None:
-        n_cpus = self.config.n_cpus
-        self._lane_ifetch = [self._make_ifetch_lane(c) for c in range(n_cpus)]
-        self._lane_load = [self._make_load_lane(c) for c in range(n_cpus)]
-        self._lane_store = [self._make_store_lane(c) for c in range(n_cpus)]
-
-    def _make_ifetch_lane(self, cpu: int):
-        probe = self.l1i[cpu].make_probe()
-        shift = self._line_shift
-
-        def fast_ifetch(addr: int, at: int) -> int:
-            if probe(addr >> shift) < 0:
-                return -1
-            return at + 1
-
-        return fast_ifetch
 
     def _make_load_lane(self, cpu: int):
         probe = self.l1d[cpu].make_probe()
@@ -159,7 +121,7 @@ class SharedMemorySystem(MemorySystem):
         # without a transaction (E/S states need upgrades).
         probe_dirty = self.l1d[cpu].make_probe_dirty()
         stats = self._l1d_stats[cpu]
-        buffer = self._store_buffers[cpu]
+        buffer = self._write_buffers[cpu]
         shift = self._line_shift
 
         def fast_store(addr: int, at: int) -> int:
@@ -171,27 +133,6 @@ class SharedMemorySystem(MemorySystem):
             return release + 1
 
         return fast_store
-
-    def fast_lanes(self, cpu):
-        """Specialized per-CPU closures (see the base class)."""
-        return (
-            self._lane_ifetch[cpu],
-            self._lane_load[cpu],
-            self._lane_store[cpu],
-        )
-
-    def fast_load(self, cpu: int, addr: int, at: int) -> int:
-        """Private write-back L1D hit (single cycle); -1 on miss."""
-        return self._lane_load[cpu](addr, at)
-
-    def fast_ifetch(self, cpu: int, addr: int, at: int) -> int:
-        """Private I-cache hit (single cycle); -1 on miss."""
-        return self._lane_ifetch[cpu](addr, at)
-
-    def fast_store(self, cpu: int, addr: int, at: int) -> int:
-        """Posted store hitting an already-MODIFIED private L1 line;
-        -1 otherwise (E/S states need upgrades — general path)."""
-        return self._lane_store[cpu](addr, at)
 
     # ------------------------------------------------------------------
 
@@ -274,7 +215,7 @@ class SharedMemorySystem(MemorySystem):
         if not posted:
             done, level = self._store_path(cpu, addr, at)
             return AccessResult(done, level)
-        buffer = self._store_buffers[cpu]
+        buffer = self._write_buffers[cpu]
         release, stalled = buffer.admit(at)
         # The drain enters the memory pipeline now; only the CPU is
         # held back when the buffer is full.

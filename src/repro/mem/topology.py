@@ -559,24 +559,26 @@ def _next_pow2(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# builders for the paper kinds (the classes consume MemConfig directly;
-# their geometry is definitionally what the paper presets describe, so
-# the spec is advisory and results stay bit-identical to the
-# pre-registry dispatch)
+# builders: five kinds, three classes. The shared-L1 and shared-L2
+# classes take their geometry and interconnect from the resolved spec
+# (the presets copy MemConfig's Table 2 numbers into it); the
+# shared-memory class reads MemConfig.
 
 
 @register_builder("shared-primary")
+@register_builder("clustered-primary")
 def _build_shared_primary(topology, config, stats):
     from repro.mem.shared_l1 import SharedL1System
 
-    return SharedL1System(config, stats)
+    return SharedL1System(config, stats, topology)
 
 
 @register_builder("shared-secondary")
+@register_builder("shared-tertiary")
 def _build_shared_secondary(topology, config, stats):
     from repro.mem.shared_l2 import SharedL2System
 
-    return SharedL2System(config, stats)
+    return SharedL2System(config, stats, topology)
 
 
 @register_builder("shared-memory")
@@ -584,17 +586,3 @@ def _build_shared_memory(topology, config, stats):
     from repro.mem.shared_mem import SharedMemorySystem
 
     return SharedMemorySystem(config, stats)
-
-
-@register_builder("clustered-primary")
-def _build_clustered_primary(topology, config, stats):
-    from repro.mem.cluster import ClusterSharedL1System
-
-    return ClusterSharedL1System(topology, config, stats)
-
-
-@register_builder("shared-tertiary")
-def _build_shared_tertiary(topology, config, stats):
-    from repro.mem.shared_l3 import SharedL3System
-
-    return SharedL3System(topology, config, stats)

@@ -9,6 +9,7 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import re
 
 import repro
 
@@ -100,3 +101,19 @@ def test_examples_exist_and_are_executable_scripts():
             "#!"
         ), example
         assert "def main" in text, example
+
+
+def test_version_has_a_single_source():
+    """``repro.__version__`` is the only version literal: pyproject.toml
+    reads it through setuptools' dynamic metadata."""
+    pyproject = (SRC_ROOT.parent.parent / "pyproject.toml").read_text()
+    project = pyproject.split("[project]", 1)[1].split("\n[", 1)[0]
+    assert not re.search(r"^version\s*=", project, re.M)
+    assert re.search(r'^dynamic\s*=\s*\[[^]]*"version"', project, re.M)
+    assert 'version = { attr = "repro.__version__" }' in pyproject
+    defining = [
+        path.relative_to(SRC_ROOT).as_posix()
+        for path in SRC_ROOT.rglob("*.py")
+        if re.search(r"^__version__\s*=", path.read_text(), re.M)
+    ]
+    assert defining == ["__init__.py"]

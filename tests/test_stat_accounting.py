@@ -89,7 +89,7 @@ def test_shared_mem_l2_writeback_on_dirty_eviction():
 
 def test_l2_evictions_counted():
     system, stats = _make(SharedL2System)
-    l2_lines = system.l2.size // LINE
+    l2_lines = system.shared.size // LINE
     t = 0
     for i in range(l2_lines + 8):
         t = system.access(0, AccessKind.LOAD, ADDR + i * LINE, t).done

@@ -9,17 +9,17 @@ and the N-CPU workload sharding that makes any core count legal.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.configs import config_for_scale
 from repro.core.system import System
 from repro.errors import ConfigError
-from repro.mem.cluster import ClusterSharedL1System
 from repro.mem.crossbar import Crossbar, MultistageCrossbar
 from repro.mem.functional import FunctionalMemory
 from repro.mem.shared_l1 import SharedL1System
 from repro.mem.shared_l2 import SharedL2System
-from repro.mem.shared_l3 import SharedL3System
 from repro.mem.shared_mem import SharedMemorySystem
 from repro.mem.topology import (
     PAPER_TOPOLOGIES,
@@ -154,8 +154,8 @@ def test_build_topology_unknown_kind():
         ("shared-l1", SharedL1System),
         ("shared-l2", SharedL2System),
         ("shared-mem", SharedMemorySystem),
-        ("cluster-l1", ClusterSharedL1System),
-        ("shared-l3", SharedL3System),
+        ("cluster-l1", SharedL1System),
+        ("shared-l3", SharedL2System),
     ],
 )
 def test_builders_produce_expected_system(name, cls):
@@ -163,7 +163,8 @@ def test_builders_produce_expected_system(name, cls):
     config = config_for_scale("test", n)
     topology = resolve_topology(name, config)
     memory = build_topology(topology, config, SystemStats.for_cpus(n))
-    assert isinstance(memory, cls)
+    assert type(memory) is cls
+    assert memory.name == name
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +191,34 @@ def test_shared_l3_has_three_levels():
         SystemStats.for_cpus(4),
     )
     assert isinstance(memory.crossbar, Crossbar)
-    assert len(memory.l1d) == 4 and len(memory.l2) == 4
-    assert memory.l3.size == config.l3_size
+    assert len(memory.l1d) == 4
+    assert [len(level) for level in memory.private] == [4]  # private L2
+    assert memory.shared.size == config.l3_size
+
+
+@pytest.mark.parametrize("arch", ("shared-l1", "shared-l2"))
+def test_custom_spec_is_honoured(arch):
+    """A paper-kind spec with a 4x larger, 20-cycle slower L2 is a
+    different machine: its stats must differ from the preset's (its
+    Job.key() already does)."""
+    config = config_for_scale("test", 4)
+    preset = resolve_topology(arch, config)
+    l2 = preset.level("l2")
+    bigger_slower = dataclasses.replace(
+        l2, size=4 * l2.size, latency=l2.latency + 20
+    )
+    custom = dataclasses.replace(
+        preset,
+        name=f"{arch}-custom",
+        levels=tuple(
+            bigger_slower if level.name == "l2" else level
+            for level in preset.levels
+        ),
+    )
+    baseline = _run(arch, 4, workload="eqntott")
+    changed = _run(custom, 4, workload="eqntott")
+    assert changed.cycles > baseline.cycles
+    assert changed.to_dict() != baseline.to_dict()
 
 
 @pytest.mark.parametrize("cpu_model", ("mipsy", "mxs"))

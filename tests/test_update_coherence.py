@@ -110,3 +110,18 @@ def test_update_beats_invalidate_on_repeated_sharing():
         return system.run().cycles
 
     assert run("update") < run("invalidate")
+
+
+def test_update_rejects_private_levels_below_l1():
+    """The update walk refreshes L1 copies only, so a spec with a
+    private level below the L1 (shared-l3) must not silently fall back
+    to invalidation."""
+    config = make_test_config()
+    config.l1_coherence = "update"
+    with pytest.raises(ConfigError, match="write-update"):
+        System(
+            "shared-l3",
+            SharingWorkload(4, FunctionalMemory(), rounds=1),
+            cpu_model="mipsy",
+            mem_config=config,
+        )
