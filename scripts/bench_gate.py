@@ -16,11 +16,13 @@ landable without first rewriting the baseline).
 The gate also checks the ``reproduce_all`` wall-clock trajectory in
 ``benchmarks/results/bench_runner.json``: the latest entry is compared
 against the most recent earlier entry with the *same profile* —
-(quick, jobs, cache, backend) must all match, so a replayed run is
-never judged against an interpreter baseline (or vice versa), and
-cached runs never race uncached ones. Entries written before the
-backend field existed count as ``interpreter``. ``--skip-runner``
-disables this check.
+(quick, jobs, cache, backend, host) must all match, so a replayed run
+is never judged against an interpreter baseline (or vice versa),
+cached runs never race uncached ones, and a run is never judged
+against one from another machine. Entries written before the backend
+field existed count as ``interpreter``; entries written before the
+host fingerprint existed compare only with each other.
+``--skip-runner`` disables this check.
 
 Typical use::
 
@@ -33,7 +35,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
+import platform
 import subprocess
 import sys
 import tempfile
@@ -116,19 +120,47 @@ def compare(
     return regressions
 
 
+def host_fingerprint() -> dict:
+    """The machine a bench_runner entry is measured on.
+
+    Stamped on every new entry by ``reproduce_all.py`` and
+    ``serve_bench.py`` so the trajectory check never compares
+    wall-clock times across hosts.
+    """
+    cpu_model = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    cpu_model = line.split(":", 1)[1].strip()
+                    break
+    except OSError:
+        pass
+    return {
+        "nproc": os.cpu_count(),
+        "cpu_model": cpu_model,
+        "python": platform.python_version(),
+    }
+
+
 def runner_profile(entry: dict) -> tuple:
     """What must match before two bench_runner entries are comparable.
 
     The backend defaults to ``interpreter`` for entries written before
     the replay lane existed; replayed and generated runs are different
     experiments at very different speeds, so the gate never compares
-    across backends.
+    across backends. The host fingerprint is part of the profile too:
+    wall-clock times from different machines say nothing about the
+    code, and entries recorded before the fingerprint existed
+    (``host`` is ``None``) compare only with each other.
     """
+    host = entry.get("host")
     return (
         bool(entry.get("quick")),
         entry.get("jobs"),
         bool(entry.get("cache", True)),
         entry.get("backend", "interpreter"),
+        tuple(sorted(host.items())) if isinstance(host, dict) else None,
     )
 
 
@@ -153,10 +185,11 @@ def check_runner_trajectory(
         return []
     latest = entries[-1]
     profile = runner_profile(latest)
-    quick, jobs, cache, backend = profile
+    quick, jobs, cache, backend, host = profile
+    host_label = dict(host or ()).get("cpu_model", "unknown host")
     label = (
         f"{'quick' if quick else 'full'}/jobs={jobs}/"
-        f"{'cached' if cache else 'uncached'}/{backend}"
+        f"{'cached' if cache else 'uncached'}/{backend}/{host_label}"
     )
     prior = [e for e in entries[:-1] if runner_profile(e) == profile]
     print(f"runner trajectory ({label}):")

@@ -57,6 +57,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 
+from bench_gate import host_fingerprint  # noqa: E402
 from harness import BENCH_OVERRIDES, MAX_CYCLES, report  # noqa: E402
 from repro.core.configs import ARCHITECTURES  # noqa: E402
 from repro.core.runner import (  # noqa: E402
@@ -218,6 +219,8 @@ def append_baseline(
         # very different speeds; trajectory comparisons (bench_gate)
         # must never mix the two.
         "backend": "replay" if args.replay else "interpreter",
+        # The trajectory gate compares only entries from one machine.
+        "host": host_fingerprint(),
         "jobs": run_report.workers,
         "cache": not args.no_cache,
         "total_wall_seconds": round(total_wall, 3),

@@ -12,16 +12,20 @@ base architectures, test scale) through real HTTP twice:
   (submitting to the same daemon would dedup against its in-memory
   records instead and measure nothing).
 
-Appends a ``"backend": "service"`` entry to
-``benchmarks/results/bench_runner.json`` (its own bench-gate profile,
-never compared against in-process batch entries). ``--no-write``
-prints the entry without touching the committed record.
+Each pass records jobs/s and the p50/p99 submit→result latency (from
+a client's submit call to the moment it sees the job finished).
+Appends a ``"backend": "service"`` entry, stamped with the host
+fingerprint, to ``benchmarks/results/bench_runner.json`` (its own
+bench-gate profile, never compared against in-process batch entries
+or other machines). ``--no-write`` prints the entry without touching
+the committed record.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import tempfile
 import time
@@ -31,6 +35,7 @@ from pathlib import Path
 
 sys.path.insert(0, "src")
 
+from bench_gate import host_fingerprint
 from repro.core.runner import ResultCache
 from repro.serve import ServiceClient, ServiceDaemon
 
@@ -41,10 +46,17 @@ WORKLOADS = (
 RECORD = Path("benchmarks/results/bench_runner.json")
 
 
-def drive_matrix(server: str, clients: int) -> tuple[float, int]:
+def percentile(values: list[float], q: float) -> float:
+    """Nearest-rank ``q`` quantile (0 < q <= 1) of ``values``."""
+    ordered = sorted(values)
+    return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
+
+
+def drive_matrix(server: str, clients: int) -> tuple[float, list[float]]:
     """Submit the matrix through ``clients`` concurrent clients.
 
-    Returns (wall seconds, completed jobs); raises on any failure.
+    Returns (wall seconds, per-job submit→result latencies); raises on
+    any failure.
     """
     specs = [
         {"workload": workload, "arch": arch, "n_cpus": 4}
@@ -52,21 +64,23 @@ def drive_matrix(server: str, clients: int) -> tuple[float, int]:
         for arch in ARCHS
     ]
 
-    def run_one(spec: dict) -> str:
+    def run_one(spec: dict) -> float:
         own = ServiceClient(server)
+        submitted = time.perf_counter()
         job_id = own.submit(spec)["id"]
         status = own.wait(job_id, timeout=600)
+        latency = time.perf_counter() - submitted
         if status["state"] not in ("done", "cached"):
             raise RuntimeError(
                 f"{spec['workload']}/{spec['arch']} ended "
                 f"{status['state']}: {status.get('error')}"
             )
-        return status["state"]
+        return latency
 
     start = time.perf_counter()
     with ThreadPoolExecutor(max_workers=clients) as pool:
-        states = list(pool.map(run_one, specs))
-    return time.perf_counter() - start, len(states)
+        latencies = list(pool.map(run_one, specs))
+    return time.perf_counter() - start, latencies
 
 
 def main() -> int:
@@ -105,13 +119,16 @@ def main() -> int:
                 f"{args.jobs} workers, {args.clients} clients",
                 flush=True,
             )
-            cold_wall, n = drive_matrix(
+            cold_wall, cold_latency = drive_matrix(
                 f"http://127.0.0.1:{daemon.port}", args.clients
             )
+            n = len(cold_latency)
             executed = daemon.scheduler.executed
             print(
                 f"[cold] {n} jobs in {cold_wall:.2f}s "
-                f"({n / cold_wall:.2f} jobs/s)",
+                f"({n / cold_wall:.2f} jobs/s, p50 "
+                f"{percentile(cold_latency, 0.5):.3f}s, p99 "
+                f"{percentile(cold_latency, 0.99):.3f}s)",
                 flush=True,
             )
         finally:
@@ -119,14 +136,15 @@ def main() -> int:
 
         daemon = launch("warm")
         try:
-            warm_wall, _ = drive_matrix(
+            warm_wall, warm_latency = drive_matrix(
                 f"http://127.0.0.1:{daemon.port}", args.clients
             )
             warm_executed = daemon.scheduler.executed
             hits = daemon.cache.hits
             print(
                 f"[warm] {n} jobs in {warm_wall:.2f}s "
-                f"({n / warm_wall:.2f} jobs/s, {hits} cache hits)",
+                f"({n / warm_wall:.2f} jobs/s, p50 "
+                f"{percentile(warm_latency, 0.5):.3f}s, {hits} cache hits)",
                 flush=True,
             )
         finally:
@@ -147,6 +165,7 @@ def main() -> int:
         "quick": True,
         "backend": "service",
         "service": True,
+        "host": host_fingerprint(),
         "jobs": args.jobs,
         "clients": args.clients,
         "cache": True,
@@ -154,8 +173,12 @@ def main() -> int:
         "matrix_jobs": n,
         "cold_wall_seconds": round(cold_wall, 3),
         "cold_jobs_per_second": round(n / cold_wall, 3),
+        "cold_latency_p50_seconds": round(percentile(cold_latency, 0.5), 4),
+        "cold_latency_p99_seconds": round(percentile(cold_latency, 0.99), 4),
         "warm_wall_seconds": round(warm_wall, 3),
         "warm_jobs_per_second": round(n / warm_wall, 3),
+        "warm_latency_p50_seconds": round(percentile(warm_latency, 0.5), 4),
+        "warm_latency_p99_seconds": round(percentile(warm_latency, 0.99), 4),
         "cache_hits": hits,
         "failures": 0,
     }

@@ -25,10 +25,10 @@ import gzip
 import hashlib
 import io
 import json
-import os
 import re
 from pathlib import Path
 
+from repro.atomic import atomic_path
 from repro.errors import CheckpointError
 from repro.obs import bus as obs_bus
 from repro.obs.registry import Registry
@@ -96,14 +96,12 @@ class CheckpointStore:
         path = self._blob_path(digest)
         deduped = path.exists()
         if not deduped:
-            path.parent.mkdir(parents=True, exist_ok=True)
             buffer = io.BytesIO()
             # mtime=0 keeps the compressed bytes deterministic too.
             with gzip.GzipFile(fileobj=buffer, mode="wb", mtime=0) as zf:
                 zf.write(raw)
-            tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-            tmp.write_bytes(buffer.getvalue())
-            os.replace(tmp, path)
+            with atomic_path(path) as tmp:
+                tmp.write_bytes(buffer.getvalue())
             self.metrics.counter("bytes_written").inc(len(raw))
         self.metrics.counter("saves").inc()
         if deduped:
@@ -160,11 +158,8 @@ class CheckpointStore:
             "digest": digest,
             "cycle": meta.get("cycle", 0),
         }
-        path = self._latest_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-        tmp.write_text(json.dumps(payload, indent=2))
-        os.replace(tmp, path)
+        with atomic_path(self._latest_path(key)) as tmp:
+            tmp.write_text(json.dumps(payload, indent=2))
 
     def latest(self, key: str) -> str | None:
         """Digest of the most recent checkpoint saved under ``key``."""

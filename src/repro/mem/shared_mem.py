@@ -12,6 +12,8 @@ an off-chip L2 that is busy with its own traffic.
 
 Both cache levels keep full snoopy MESI coherence, with L2 inclusive of
 L1 so the L2 tags can answer snoops for the pair.
+The data caches take their geometry from the topology spec; the L1I
+and the snoopy bus stay on :class:`MemConfig`.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from repro.mem.bus import SnoopyBus
 from repro.mem.cache import EXCLUSIVE, MODIFIED, SHARED, CacheArray
 from repro.mem.coherence.mesi import SnoopController
 from repro.mem.hierarchy import MemConfig, MemorySystem, count_miss
+from repro.mem.topology import Topology, resolve_topology
 from repro.mem.types import AccessResult, StallLevel
 from repro.mem.writebuffer import WriteBuffer
 from repro.sim.stats import SystemStats
@@ -31,8 +34,18 @@ class SharedMemorySystem(MemorySystem):
 
     name = "shared-mem"
 
-    def __init__(self, config: MemConfig, stats: SystemStats) -> None:
+    def __init__(
+        self,
+        config: MemConfig,
+        stats: SystemStats,
+        topology: Topology | None = None,
+    ) -> None:
         super().__init__(config, stats)
+        if topology is None:
+            topology = resolve_topology(self.name, config)
+        self.name = topology.name
+        l1_level = topology.level("l1d")
+        l2_level = topology.level("l2")
         line = config.line_size
         n_cpus = config.n_cpus
         self.l1i = [
@@ -41,15 +54,17 @@ class SharedMemorySystem(MemorySystem):
         ]
         self._l1i_stats = [stats.cache(f"cpu{i}.l1i") for i in range(n_cpus)]
         self.l1d = [
-            CacheArray(f"cpu{i}.l1d", config.l1d_size, config.l1d_assoc, line)
+            CacheArray(f"cpu{i}.l1d", l1_level.size, l1_level.assoc, line)
             for i in range(n_cpus)
         ]
         self._l1d_stats = [stats.cache(f"cpu{i}.l1d") for i in range(n_cpus)]
         self.l2 = [
-            CacheArray(f"cpu{i}.l2", config.l2_size, config.l2_assoc, line)
+            CacheArray(f"cpu{i}.l2", l2_level.size, l2_level.assoc, line)
             for i in range(n_cpus)
         ]
         self._l2_stats = [stats.cache(f"cpu{i}.l2") for i in range(n_cpus)]
+        self._l2_latency = l2_level.latency
+        self._l2_occupancy = l2_level.occupancy
         self.l2_ports = [Resource(f"cpu{i}.l2.port") for i in range(n_cpus)]
         self.bus = SnoopyBus(config.bus)
         self.snoop = SnoopController(
@@ -142,16 +157,16 @@ class SharedMemorySystem(MemorySystem):
         if cache.probe(line_addr) >= 0:
             return AccessResult(at + 1, StallLevel.NONE)
         self._l1i_stats[cpu].read_misses_repl += 1
-        start = self.l2_ports[cpu].acquire(at + 1, self.config.l2_occupancy)
+        start = self.l2_ports[cpu].acquire(at + 1, self._l2_occupancy)
         self._l2_stats[cpu].reads += 1
         l2 = self.l2[cpu]
         if l2.probe(line_addr) >= 0:
-            done = start + self.config.l2_latency
+            done = start + self._l2_latency
             level = StallLevel.L2
         else:
             miss_kind = l2.classify_line(line_addr)
             count_miss(self._l2_stats[cpu], miss_kind, is_store=False)
-            done = self.bus.memory_read(start + self.config.l2_latency)
+            done = self.bus.memory_read(start + self._l2_latency)
             victim = l2.fill(line_addr, SHARED)
             if victim >= 0:
                 self._handle_l2_eviction(cpu, victim, start)
@@ -172,19 +187,18 @@ class SharedMemorySystem(MemorySystem):
         miss_kind = cache.classify_line(line_addr)
         count_miss(cache_stats, miss_kind, is_store=False)
 
-        config = self.config
-        start = self.l2_ports[cpu].acquire(at + 1, config.l2_occupancy)
+        start = self.l2_ports[cpu].acquire(at + 1, self._l2_occupancy)
         self._l2_stats[cpu].reads += 1
         l2 = self.l2[cpu]
         l2_state = l2.probe(line_addr)
         if l2_state >= 0:
-            done = start + config.l2_latency
+            done = start + self._l2_latency
             level = StallLevel.L2
             l1_state = SHARED if l2_state == SHARED else EXCLUSIVE
         else:
             l2_miss = l2.classify_line(line_addr)
             count_miss(self._l2_stats[cpu], l2_miss, is_store=False)
-            bus_at = start + config.l2_latency
+            bus_at = start + self._l2_latency
             remote_copy = self.snoop.any_remote_copy(cpu, line_addr)
             source = self.snoop.snoop_read(cpu, line_addr)
             if source == "c2c":
@@ -229,7 +243,6 @@ class SharedMemorySystem(MemorySystem):
     ) -> tuple[int, StallLevel]:
         cache = self.l1d[cpu]
         cache_stats = self._l1d_stats[cpu]
-        config = self.config
         line_addr = addr >> self._line_shift
 
         state = cache.probe(line_addr)
@@ -254,27 +267,27 @@ class SharedMemorySystem(MemorySystem):
         miss_kind = cache.classify_line(line_addr)
         count_miss(cache_stats, miss_kind, is_store=True)
 
-        start = self.l2_ports[cpu].acquire(at + 1, config.l2_occupancy)
+        start = self.l2_ports[cpu].acquire(at + 1, self._l2_occupancy)
         self._l2_stats[cpu].writes += 1
         l2 = self.l2[cpu]
         l2_state = l2.probe(line_addr)
         if l2_state >= 0:
             if l2_state == SHARED:
-                done = self.bus.upgrade(start + config.l2_latency)
+                done = self.bus.upgrade(start + self._l2_latency)
                 self.snoop.upgrade(cpu, line_addr)
                 if self.obs is not None:
                     self.obs.record_coherence(
-                        cpu, "upgrade", start + config.l2_latency
+                        cpu, "upgrade", start + self._l2_latency
                     )
                 level = StallLevel.MEM
             else:
-                done = start + config.l2_latency
+                done = start + self._l2_latency
                 level = StallLevel.L2
             l2.set_state(line_addr, MODIFIED)
         else:
             l2_miss = l2.classify_line(line_addr)
             count_miss(self._l2_stats[cpu], l2_miss, is_store=True)
-            bus_at = start + config.l2_latency
+            bus_at = start + self._l2_latency
             source = self.snoop.snoop_write(cpu, line_addr)
             if self.obs is not None:
                 self.obs.record_coherence(
@@ -307,7 +320,7 @@ class SharedMemorySystem(MemorySystem):
         if victim & 3 != MODIFIED:
             return
         self._l1d_stats[cpu].writebacks += 1
-        self.l2_ports[cpu].acquire(at, self.config.l2_occupancy)
+        self.l2_ports[cpu].acquire(at, self._l2_occupancy)
         # Inclusion guarantees the line is present; ownership is already
         # MODIFIED there (mirrored at write time).
         self.l2[cpu].set_state(victim >> 2, MODIFIED)

@@ -559,10 +559,9 @@ def _next_pow2(n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# builders: five kinds, three classes. The shared-L1 and shared-L2
-# classes take their geometry and interconnect from the resolved spec
-# (the presets copy MemConfig's Table 2 numbers into it); the
-# shared-memory class reads MemConfig.
+# builders: five kinds, three classes, each taking its cache geometry
+# (and, for the crossbar kinds, the interconnect) from the resolved spec;
+# the presets copy MemConfig's Table 2 numbers into it.
 
 
 @register_builder("shared-primary")
@@ -585,4 +584,4 @@ def _build_shared_secondary(topology, config, stats):
 def _build_shared_memory(topology, config, stats):
     from repro.mem.shared_mem import SharedMemorySystem
 
-    return SharedMemorySystem(config, stats)
+    return SharedMemorySystem(config, stats, topology)

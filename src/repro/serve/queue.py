@@ -22,22 +22,21 @@ resubmitting a spec whose record failed, was cancelled or was
 quarantined starts a fresh attempt under the same id.
 
 :class:`QueueManifest` persists the non-terminal tail of the queue at
-shutdown (the same atomic tmp-and-rename idiom as
-:class:`~repro.core.runner.BatchManifest`) so ``repro serve --resume``
-can re-enqueue unfinished work.
+shutdown (atomically, through :func:`repro.atomic.atomic_path`) so
+``repro serve --resume`` can re-enqueue unfinished work.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-import os
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import repro
+from repro.atomic import atomic_path
 from repro.core.experiment import ExperimentResult
 from repro.core.runner import Job
 from repro.serve import wire
@@ -318,7 +317,7 @@ class QueueManifest:
     """On-disk record of jobs the daemon accepted but did not finish.
 
     One JSON file of wire payloads plus queue metadata, written
-    atomically (tmp + rename, the :class:`BatchManifest` idiom) by the
+    atomically (:func:`repro.atomic.atomic_path`) by the
     graceful-shutdown path and re-enqueued by ``repro serve --resume``.
     Results never live here — finished work is already in the
     content-addressed :class:`ResultCache`.
@@ -346,10 +345,8 @@ class QueueManifest:
                 if isinstance(record.job.workload, str)
             ],
         }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.parent / f".{self.path.name}.{os.getpid()}.tmp"
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, self.path)
+        with atomic_path(self.path) as tmp:
+            tmp.write_text(json.dumps(payload, sort_keys=True))
 
     def load(self) -> list[dict]:
         """Read persisted entries; unreadable manifests load as empty.
@@ -360,8 +357,6 @@ class QueueManifest:
         """
         try:
             payload = json.loads(self.path.read_text())
-        except FileNotFoundError:
-            return []
         except (OSError, ValueError):
             return []
         jobs = payload.get("jobs")

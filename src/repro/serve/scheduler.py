@@ -8,26 +8,24 @@ on the bus, no worker touched), and otherwise dispatches it to the
 warm pool under a bounded-slot semaphore — at most ``runner.n_jobs``
 simulations in flight, however fast clients submit.
 
-Completions are handled on executor callback threads with the same
-fault policy the batch :class:`~repro.core.runner.Runner` applies: a
-SIGKILLed worker breaks the pool and fails every in-flight future
-with ``BrokenProcessPool``; the first completion to notice rebuilds
-the session pool (one ``worker.death``/``pool.rebuild`` pair on the
-bus) and every crashed job is re-queued until its ``max_retries``
-budget runs out, after which it is quarantined. Jobs whose record has
-``cancel_requested`` set get their result discarded and land as
-``cancelled`` — process workers are never interrupted mid-simulation,
-because killing one would break the pool for innocent neighbours.
+Completions are handled on executor callback threads by the crash
+policy the batch :class:`~repro.core.runner.Runner` uses too:
+``RunnerSession.settle`` sorts each finished future into ok / retry /
+quarantined / timed out / failed, rebuilding the pool when a SIGKILLed
+worker broke it; a retried record keeps its queue position and attempt
+count. The scheduler adds only the service's rules: a record with
+``cancel_requested`` set has its result discarded and lands as
+``cancelled`` (process workers are never interrupted mid-simulation,
+because killing one would break the pool for innocent neighbours), and
+a crash during shutdown re-queues the record for the manifest.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import CancelledError, Future
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import Future, wait
 
-from repro.core.runner import Runner
-from repro.errors import JobTimeoutError
+from repro.core.runner import OK, QUARANTINED, RETRY, TIMED_OUT, Runner
 from repro.serve.queue import JobQueue, JobRecord
 
 
@@ -38,9 +36,6 @@ class Scheduler:
         self.runner = runner
         self.queue = queue
         self.session = runner.session()
-        self._handle = (
-            runner.bus.handle() if runner.bus is not None else None
-        )
         self._slots = threading.BoundedSemaphore(runner.n_jobs)
         self._lock = threading.Lock()
         self._inflight: dict[str, Future] = {}
@@ -68,10 +63,9 @@ class Scheduler:
         self._thread.start()
 
     def _emit(self, kind: str, record: JobRecord, **fields) -> None:
-        if self._handle is not None:
-            self._handle.emit(
-                kind, job=record.job.label(), tag=record.id, **fields
-            )
+        self.session.emit(
+            kind, job=record.job.label(), tag=record.id, **fields
+        )
 
     # -- dispatch side --------------------------------------------------
 
@@ -127,21 +121,14 @@ class Scheduler:
         self, record: JobRecord, generation: int, future: Future
     ) -> None:
         try:
-            try:
-                result = future.result()
-            except BrokenProcessPool:
-                self._crashed(record, generation)
-            except CancelledError:
-                # Shutdown cancelled the future before a worker picked
-                # it up; leave the record queued for the manifest.
-                self.queue.requeue(record)
-            except JobTimeoutError as error:
-                self.queue.fail(record, str(error), timed_out=True)
-            except Exception as error:  # noqa: BLE001
-                # Deterministic failure inside the simulation — a retry
-                # cannot help (same policy as the batch runner).
+            verdict, value = self.session.settle(
+                future, generation, record.attempts
+            )
+            if verdict in (RETRY, QUARANTINED):
+                self._crashed(record, verdict, value)
+            elif verdict != OK:
                 self.queue.fail(
-                    record, f"{type(error).__name__}: {error}"
+                    record, value, timed_out=verdict == TIMED_OUT
                 )
             else:
                 if record.cancel_requested:
@@ -151,8 +138,8 @@ class Scheduler:
                     self._emit("job.cancelled", record, discarded=True)
                 else:
                     if self.runner.cache is not None:
-                        self.runner.cache.put(record.job, result)
-                    self.queue.finish(record, result)
+                        self.runner.cache.put(record.job, value)
+                    self.queue.finish(record, value)
                 with self._lock:
                     self._executed += 1
         finally:
@@ -160,33 +147,21 @@ class Scheduler:
                 self._inflight.pop(record.id, None)
             self._slots.release()
 
-    def _crashed(self, record: JobRecord, generation: int) -> None:
-        """A worker died under this job; rebuild, then retry or bury."""
-        if self.session.rebuild(generation):
-            # This callback owns the rebuild: drain everything the dead
-            # pool's workers managed to emit, then mark the event pair.
-            if self.runner.bus is not None:
-                self.runner.bus.flush()
-            if self._handle is not None:
-                self._handle.emit("worker.death", tag=record.id)
-                self._handle.emit(
-                    "pool.rebuild", generation=self.session.generation
-                )
+    def _crashed(
+        self, record: JobRecord, verdict: str, error: str | None
+    ) -> None:
+        """The job's worker died (or shutdown cancelled it): requeue,
+        cancel, quarantine or retry."""
         if self._stop.is_set():
             self.queue.requeue(record)
         elif record.cancel_requested:
             self.queue.mark_cancelled(record)
             self._emit("job.cancelled", record, crashed=True)
-        elif record.attempts > self.runner.max_retries:
+        elif verdict == QUARANTINED:
             self._emit(
                 "job.quarantined", record, attempts=record.attempts
             )
-            self.queue.fail(
-                record,
-                f"quarantined after {record.attempts} crashed "
-                "attempt(s)",
-                quarantined=True,
-            )
+            self.queue.fail(record, error, quarantined=True)
         else:
             self._emit("job.retry", record, attempt=record.attempts + 1)
             self.queue.requeue(record)
@@ -212,9 +187,5 @@ class Scheduler:
             self.session.close(force=True)
         with self._lock:
             inflight = list(self._inflight.values())
-        for future in inflight:
-            try:
-                future.result(timeout=timeout)
-            except Exception:  # noqa: BLE001 - settled is all we need
-                pass
+        wait(inflight, timeout=timeout)
         self.session.close(force=force)

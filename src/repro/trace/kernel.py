@@ -30,6 +30,7 @@ from typing import Iterable
 
 from typing import NamedTuple
 
+from repro.atomic import atomic_path
 from repro.errors import ConfigError, ReproError, WorkloadError
 from repro.mem.functional import FunctionalMemory
 from repro.mem.hierarchy import MemConfig
@@ -214,12 +215,9 @@ def _write_sidecar(path: Path, n_cpus: int, stat, packed: PackedTrace):
     trace (native byte order — a local cache, not an interchange
     format). Failures (read-only store, races) are silently ignored;
     the text trace stays the source of truth."""
-    import os
-
-    sidecar = _sidecar_path(path, n_cpus)
-    tmp = sidecar.with_name(f"{sidecar.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("wb") as handle:
+        with atomic_path(_sidecar_path(path, n_cpus)) as tmp, \
+                tmp.open("wb") as handle:
             handle.write(_SIDECAR_MAGIC)
             header = array("q", [
                 stat.st_size,
@@ -233,9 +231,8 @@ def _write_sidecar(path: Path, n_cpus: int, stat, packed: PackedTrace):
                 packed.kinds[c].tofile(handle)
                 packed.addrs[c].tofile(handle)
                 packed.pcs[c].tofile(handle)
-        tmp.replace(sidecar)
     except OSError:
-        tmp.unlink(missing_ok=True)
+        pass
 
 
 def load_packed(n_cpus: int, path: str | Path) -> PackedTrace:

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from pathlib import Path
 from typing import Callable
 
 import repro
+from repro.atomic import atomic_path
 from repro.errors import ConfigError, ReproError
 from repro.obs import bus as obs_bus
 from repro.obs.registry import Registry
@@ -190,10 +190,8 @@ class TraceStore:
             )
 
         path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".{path.name}.{os.getpid()}.tmp"
-        count = write_trace(tmp, canonical_order(recorder.records))
-        tmp.replace(path)
+        with atomic_path(path) as tmp:
+            count = write_trace(tmp, canonical_order(recorder.records))
         meta = {
             "key": key,
             "spec": self.spec(workload, scale, n_cpus),
@@ -202,9 +200,8 @@ class TraceStore:
             "reference_cycles": system.stats.cycles,
             "record_wall_seconds": wall,
         }
-        meta_tmp = path.parent / f".{path.name}.meta.{os.getpid()}.tmp"
-        meta_tmp.write_text(json.dumps(meta, sort_keys=True, indent=2))
-        meta_tmp.replace(path.with_suffix(".json"))
+        with atomic_path(path.with_suffix(".json")) as tmp:
+            tmp.write_text(json.dumps(meta, sort_keys=True, indent=2))
         self.metrics.counter("records").inc()
         self.metrics.counter("bytes_written").inc(path.stat().st_size)
         obs_bus.emit(

@@ -8,7 +8,9 @@ process itself.
 
 from __future__ import annotations
 
+import errno
 import json
+import pathlib
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -80,6 +82,33 @@ def test_poison_job_is_quarantined(tmp_path, monkeypatch):
     assert report.worker_crashes >= 2
     assert "2 failed" in report.summary()
     assert "worker crash" in report.summary()
+
+
+def test_crash_is_charged_only_to_dispatched_jobs(tmp_path, monkeypatch):
+    """Jobs still waiting for a worker when the pool breaks are not
+    charged for the crash: the poison jobs are retried ahead of them
+    and quarantined, and the healthy jobs then run once each."""
+    monkeypatch.setenv("REPRO_TEST_KILL_DIR", str(tmp_path))
+    poison = [
+        Job(
+            arch=arch,
+            workload=ckpt_helpers.kill_always_workload,
+            scale="test",
+            max_cycles=CAP,
+        )
+        for arch in ("shared-l1", "shared-l2")
+    ]
+    healthy = [
+        normal_job(arch) for arch in ("shared-l1", "shared-l2", "shared-mem")
+    ]
+    report = Runner(jobs=2, max_retries=1).run(poison + healthy)
+    for outcome in report.outcomes[:2]:
+        assert outcome.result is None
+        assert "quarantined" in outcome.error
+        assert outcome.attempts == 2
+    for outcome in report.outcomes[2:]:
+        assert outcome.result is not None
+        assert outcome.attempts == 1
 
 
 # ----------------------------------------------------------------------
@@ -434,4 +463,28 @@ def test_result_cache_concurrent_writers_never_tear(tmp_path):
     assert final is not None
     assert final.stats.cycles >= 1000
     # No leftover temp files from interrupted writers.
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_full_disk_during_cache_put_keeps_old_entry(tmp_path, monkeypatch):
+    """A publish that fails mid-write (ENOSPC) must leave the entry it
+    was replacing readable and no temp file behind."""
+    cache = ResultCache(tmp_path)
+    job = normal_job()
+    result = job.run()
+    cache.put(job, result)
+
+    def full_disk(self, data, *args, **kwargs):
+        with open(self, "w", encoding="utf-8") as handle:
+            handle.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(pathlib.Path, "write_text", full_disk)
+    with pytest.raises(OSError):
+        cache.put(job, result)
+    monkeypatch.undo()
+    cached = cache.get(job)
+    assert cached is not None
+    assert cached.stats.to_dict() == result.stats.to_dict()
+    assert cache.evictions == 0
     assert not list(tmp_path.rglob("*.tmp"))

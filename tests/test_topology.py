@@ -196,7 +196,7 @@ def test_shared_l3_has_three_levels():
     assert memory.shared.size == config.l3_size
 
 
-@pytest.mark.parametrize("arch", ("shared-l1", "shared-l2"))
+@pytest.mark.parametrize("arch", ("shared-l1", "shared-l2", "shared-mem"))
 def test_custom_spec_is_honoured(arch):
     """A paper-kind spec with a 4x larger, 20-cycle slower L2 is a
     different machine: its stats must differ from the preset's (its
